@@ -2,10 +2,11 @@
 //!
 //! The paper compares raw CoPhIR (282-d) and SIFT (128-d) descriptors with
 //! an SIMD-optimized `L2`. We write the kernels as simple indexed loops over
-//! fixed-size chunks, which LLVM auto-vectorizes when the crate is compiled
-//! with `-C target-cpu=native` (see the bench profile); the relative costs
-//! across spaces — the property the experiments depend on — are preserved
-//! either way.
+//! fixed-size chunks, which LLVM auto-vectorizes for the target's baseline
+//! instruction set — SSE2 on x86-64, since nothing in this repository sets
+//! `target-cpu` or any other codegen flag; the relative costs across
+//! spaces — the property the experiments depend on — are preserved either
+//! way.
 
 use permsearch_core::{FlatAccess, QuantizedView, Space};
 

@@ -16,7 +16,10 @@ use proptest::prelude::*;
 
 use permsearch_core::{CountedSpace, Space, SpaceStats};
 use permsearch_spaces::batch;
-use permsearch_spaces::{DenseCosine, JsDivergence, KlDivergence, TopicHistogram, L1, L2};
+use permsearch_spaces::{
+    DenseCosine, JsDivergence, KlDivergence, NormalizedLevenshtein, Sequence, TopicHistogram, L1,
+    L2,
+};
 
 /// Dims exercised per case: 0, 1, several non-multiples of the 4-lane
 /// chunk, one exact multiple, and one spanning a whole gather block.
@@ -49,6 +52,17 @@ fn rows_and_query() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>)> {
 
 fn refs(rows: &[Vec<f32>]) -> Vec<&[f32]> {
     rows.iter().map(Vec::as_slice).collect()
+}
+
+/// A deterministic xorshift64 stream (any seed; zero is nudged off).
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
 }
 
 proptest! {
@@ -142,15 +156,9 @@ proptest! {
         wpp in 1usize..5,
         seed in any::<u64>(),
     ) {
-        // Deterministic word table from the seed (xorshift), covering full
-        // and sparse bit patterns.
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        // Deterministic word table from the seed, covering full and sparse
+        // bit patterns.
+        let mut next = xorshift(seed);
         let table: Vec<u64> = (0..rows * wpp).map(|_| next()).collect();
         let q: Vec<u64> = (0..wpp).map(|_| next()).collect();
         let mut got = Vec::new();
@@ -405,5 +413,56 @@ fn divergence_flat_ids_match_scalar_bitwise() {
             d.to_bits(),
             JsDivergence.distance(&hists[id as usize], &qh).to_bits()
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Levenshtein: one mask table per block, four texts in flight.
+// ---------------------------------------------------------------------------
+
+/// The block kernel shares the query's mask table across the block and
+/// advances texts four at a time; per-pair `distance` builds its own table
+/// (from whichever side is shorter) and runs one text. Same integers, same
+/// division, so the same bits — for every block length around the four-way
+/// interleave and its remainder, texts of mixed lengths (empty, equal to
+/// the query, on both sides of a word boundary), an empty query, and
+/// queries longer than one word.
+#[test]
+fn levenshtein_block_matches_scalar_bitwise() {
+    let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+    let mut sequence = |len: usize| -> Sequence {
+        (0..len)
+            .map(|_| b"ACGT"[(next() >> 20) as usize % 4])
+            .collect()
+    };
+    const TEXT_LENS: [usize; 12] = [0, 31, 1, 40, 64, 27, 65, 33, 0, 130, 36, 29];
+    for query_len in [0usize, 1, 32, 64, 65, 150] {
+        let query = sequence(query_len);
+        for block_len in [0usize, 1, 3, 4, 5, 63, 64] {
+            let texts: Vec<Sequence> = (0..block_len)
+                .map(|i| match i % 7 {
+                    // A text equal to the query, and a near copy of it.
+                    2 => query.clone(),
+                    5 => {
+                        let mut near = query.clone();
+                        near.truncate(query_len.saturating_sub(3));
+                        near.extend_from_slice(b"GA");
+                        near
+                    }
+                    _ => sequence(TEXT_LENS[(i + query_len) % TEXT_LENS.len()]),
+                })
+                .collect();
+            let refs: Vec<&Sequence> = texts.iter().collect();
+            let mut out = vec![f32::NAN; block_len];
+            NormalizedLevenshtein.distance_block(&refs, &query, &mut out);
+            for (i, (text, d)) in texts.iter().zip(&out).enumerate() {
+                assert_eq!(
+                    d.to_bits(),
+                    NormalizedLevenshtein.distance(text, &query).to_bits(),
+                    "|query|={query_len} block={block_len} text {i} (|text|={})",
+                    text.len()
+                );
+            }
+        }
     }
 }

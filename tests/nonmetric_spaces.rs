@@ -122,3 +122,49 @@ fn edit_distance_search_finds_close_substrings() {
     assert_eq!(res[0].id, 123);
     assert!(res[0].dist <= 1.0 / 16.0, "one edit over len >= 16");
 }
+
+/// The classic two-row edit-distance dynamic program, kept here as an
+/// oracle that shares no code with the library's bit-vector kernel.
+fn reference_levenshtein(x: &[u8], y: &[u8]) -> u32 {
+    let mut prev: Vec<u32> = (0..=y.len() as u32).collect();
+    let mut curr = vec![0u32; y.len() + 1];
+    for (i, &xi) in x.iter().enumerate() {
+        curr[0] = i as u32 + 1;
+        for (j, &yj) in y.iter().enumerate() {
+            let sub = prev[j] + u32::from(xi != yj);
+            curr[j + 1] = sub.min(prev[j + 1] + 1).min(curr[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[y.len()]
+}
+
+/// Edit distance is an exact integer, so the exhaustive scan over the
+/// block kernel must return the very neighbours — ids and distance bits,
+/// ties broken by id — that a scan over the dynamic program returns.
+#[test]
+fn exhaustive_dna_scan_matches_reference_dp_oracle() {
+    let gen = DnaSubstrings::new(1 << 14, 32.0, 4.0);
+    let data = Arc::new(Dataset::new(gen.generate(300, 29)));
+    let queries = gen.generate(25, 31);
+    let exact = ExhaustiveSearch::new(data.clone(), NormalizedLevenshtein);
+    for q in &queries {
+        let mut oracle: Vec<(u32, u32)> = (0..data.len() as u32)
+            .map(|id| {
+                let x = data.get(id);
+                let edits = reference_levenshtein(x, q);
+                let dist = edits as f32 / x.len().max(q.len()) as f32;
+                (dist.to_bits(), id)
+            })
+            .collect();
+        // Non-negative floats order like their bit patterns.
+        oracle.sort_unstable();
+        oracle.truncate(10);
+        let got: Vec<(u32, u32)> = exact
+            .search(q, 10)
+            .iter()
+            .map(|n| (n.dist.to_bits(), n.id))
+            .collect();
+        assert_eq!(got, oracle);
+    }
+}

@@ -1,5 +1,5 @@
-//! Zero steady-state heap allocation on the flat dense query path,
-//! pinned by a counting global allocator.
+//! Zero steady-state heap allocation on the query path — flat dense worlds
+//! and the sequence world alike — pinned by a counting global allocator.
 //!
 //! `crates/core/tests/scratch_equivalence.rs` pins that scratch *reuse*
 //! returns identical results; this suite pins the other half of the
@@ -10,7 +10,9 @@
 //! high-water capacity, a second pass over the same queries through
 //! `search_into` must perform **zero** heap allocations — brute force,
 //! NAPP and VP-tree alike, all over an arena-backed dense dataset so the
-//! gather-free flat kernels are the code under test.
+//! gather-free flat kernels are the code under test. The sequence pin does
+//! the same for NAPP under `NormalizedLevenshtein`, where the allocator
+//! used to be hit twice per distance by the dynamic program's cost rows.
 //!
 //! The counter is thread-local, so concurrently running tests on other
 //! harness threads cannot pollute the measurement.
@@ -20,9 +22,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use permsearch_core::{Dataset, SearchIndex, SearchScratch, Space};
-use permsearch_datasets::{DenseGaussianMixture, Generator};
+use permsearch_datasets::{DenseGaussianMixture, DnaSubstrings, Generator};
 use permsearch_permutation::{Napp, NappParams};
-use permsearch_spaces::L2;
+use permsearch_spaces::{NormalizedLevenshtein, L2};
 use permsearch_vptree::{VpTree, VpTreeParams};
 
 struct CountingAllocator;
@@ -72,7 +74,7 @@ fn flat_world() -> (Arc<Dataset<Vec<f32>>>, Vec<Vec<f32>>) {
 
 /// Warm one pass, then assert the second pass over the same queries
 /// allocates nothing.
-fn assert_zero_steady_state<I: SearchIndex<Vec<f32>>>(index: &I, queries: &[Vec<f32>]) {
+fn assert_zero_steady_state<P, I: SearchIndex<P>>(index: &I, queries: &[P]) {
     let mut scratch = SearchScratch::new();
     let mut out = Vec::new();
     for q in queries {
@@ -114,6 +116,30 @@ fn napp_flat_path_is_allocation_free() {
             num_indexed: 8,
             min_shared: 1,
             max_candidates: Some(400),
+            threads: 1,
+            ..Default::default()
+        },
+        7,
+    );
+    assert_zero_steady_state(&index, &queries);
+}
+
+/// The expensive-distance half of the paper: pivot ranking and refine both
+/// score through the Levenshtein block kernel, whose mask table and column
+/// states live on the stack for the ~32-byte strings of the dna world.
+#[test]
+fn napp_sequence_path_is_allocation_free() {
+    let gen = DnaSubstrings::new(1 << 14, 32.0, 4.0);
+    let data = Arc::new(Dataset::new(gen.generate(600, 33)));
+    let queries = gen.generate(24, 91);
+    let index = Napp::build(
+        data,
+        NormalizedLevenshtein,
+        NappParams {
+            num_pivots: 64,
+            num_indexed: 8,
+            min_shared: 1,
+            max_candidates: Some(200),
             threads: 1,
             ..Default::default()
         },
@@ -192,7 +218,7 @@ fn observed_serving_is_allocation_free() {
 }
 
 /// The counting allocator itself must observe ordinary allocations —
-/// otherwise the three pins above would pass vacuously.
+/// otherwise the pins above would pass vacuously.
 #[test]
 fn counting_allocator_counts() {
     let before = allocs_on_this_thread();
