@@ -12,12 +12,12 @@
 //! cargo run -p permsearch-serve --release --bin loadgen -- \
 //!     --addr 127.0.0.1:7377 --from-snapshot DIR --smoke
 //!
-//! # CI overload gate: baseline point, a 2x-saturation point (assert the
+//! # CI overload gate: baseline point, a point past saturation (assert the
 //! # accepted-query p50 stays under the pinned bound and admission
 //! # control actually shed), then a return-to-baseline point:
 //! cargo run -p permsearch-serve --release --bin loadgen -- \
 //!     --addr 127.0.0.1:7377 --from-snapshot DIR --overload \
-//!     --qps 300 --overload-qps 4000 --overload-p50-ms 60
+//!     --qps 200 --overload-qps 12000 --overload-p50-ms 60
 //! ```
 //!
 //! `--from-snapshot` points at the same deployment directory the server
@@ -84,7 +84,7 @@ fn parse(argv: &[String]) -> Args {
         deadline_ms: 0,
         smoke: false,
         overload: false,
-        overload_qps: 4_000.0,
+        overload_qps: 12_000.0,
         overload_p50_ms: 60.0,
     };
     let mut it = argv.iter();

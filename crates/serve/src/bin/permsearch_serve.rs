@@ -5,8 +5,7 @@
 //! # Build snapshots once (index_tool), then serve them:
 //! cargo run -p permsearch-serve --release --bin permsearch-serve -- \
 //!     --from-snapshot DIR --addr 127.0.0.1:7377 \
-//!     [--workers W] [--batch-window-us N] [--max-batch N] [--max-k N] \
-//!     [--sample-every N]
+//!     [--workers W] [--max-batch N] [--max-k N] [--sample-every N]
 //! ```
 //!
 //! The process loads dataset + manifest + shard snapshots (zero build
@@ -36,10 +35,9 @@ use permsearch_serve::{Server, ServerConfig};
 
 const USAGE: &str = "usage:
   permsearch-serve --from-snapshot DIR --addr HOST:PORT [--workers W] \\
-                   [--batch-window-us N] [--max-batch N] [--max-k N] \\
-                   [--sample-every N] [--mutable DELTA_METHOD] \\
-                   [--compact-min-slots N] [--queue-cap N] \\
-                   [--degrade-at N] [--retry-after-ms N] \\
+                   [--max-batch N] [--max-k N] [--sample-every N] \\
+                   [--mutable DELTA_METHOD] [--compact-min-slots N] \\
+                   [--queue-cap N] [--degrade-at N] [--retry-after-ms N] \\
                    [--journal-sync-every N]";
 
 fn die(msg: &str) -> ! {
@@ -52,7 +50,6 @@ struct Args {
     dir: PathBuf,
     addr: String,
     workers: usize,
-    batch_window_us: u64,
     max_batch: usize,
     max_k: usize,
     sample_every: usize,
@@ -69,7 +66,6 @@ fn parse(argv: &[String]) -> Args {
         dir: PathBuf::new(),
         addr: String::new(),
         workers: 2,
-        batch_window_us: 500,
         max_batch: 256,
         max_k: 1024,
         sample_every: DEFAULT_SAMPLE_EVERY,
@@ -99,9 +95,6 @@ fn parse(argv: &[String]) -> Args {
             "--from-snapshot" => args.dir = next_value(flag, &mut it).into(),
             "--addr" => args.addr = next_value(flag, &mut it),
             "--workers" => args.workers = parse_num(flag, &next_value(flag, &mut it)),
-            "--batch-window-us" => {
-                args.batch_window_us = parse_num(flag, &next_value(flag, &mut it)) as u64;
-            }
             "--max-batch" => args.max_batch = parse_num(flag, &next_value(flag, &mut it)),
             "--max-k" => args.max_k = parse_num(flag, &next_value(flag, &mut it)),
             "--sample-every" => args.sample_every = parse_num(flag, &next_value(flag, &mut it)),
@@ -157,7 +150,6 @@ fn main() {
 
     let config = ServerConfig {
         addr: args.addr.clone(),
-        batch_window: Duration::from_micros(args.batch_window_us),
         max_batch: args.max_batch,
         max_k: args.max_k,
         dim,

@@ -9,10 +9,10 @@
 //!   store container's corruption discipline (magic, version gate,
 //!   FNV-1a checksum, capped preallocation);
 //! * [`server`] — thread-per-connection serving over
-//!   `std::net::TcpListener` with server-side micro-batching: queries
-//!   arriving within a configurable window coalesce into one engine batch,
-//!   so network arrival patterns recover most of the batch efficiency the
-//!   in-process benchmarks measure;
+//!   `std::net::TcpListener` with server-side batching: whatever queued
+//!   while the engine was busy is served as one engine batch the moment
+//!   it frees up, so batches grow with load and an idle server adds no
+//!   wait;
 //! * [`client`] — a blocking protocol client (also the test harness's
 //!   view of the server);
 //! * [`loadgen`] — open-loop Poisson load generation for

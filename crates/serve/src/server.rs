@@ -1,14 +1,14 @@
-//! Thread-per-connection TCP server with server-side micro-batching.
+//! Thread-per-connection TCP server with server-side batching.
 //!
 //! One accept thread hands each connection to its own thread; connection
 //! threads decode [`Frame::Query`] requests and enqueue them on a single
-//! batcher thread, which coalesces every query that arrives within
-//! [`ServerConfig::batch_window`] (or until [`ServerConfig::max_batch`]
-//! queries are pending) into **one** [`Engine::serve`] call. The engine's
-//! own worker pool then fans the coalesced batch out across shards, so a
-//! trickle of single-query connections still amortizes thread wake-ups and
-//! per-batch bookkeeping the way the in-process `serve_batch` benchmarks
-//! do.
+//! batcher thread. Whenever the engine is free, the batcher takes every
+//! request already queued (up to [`ServerConfig::max_batch`] queries) and
+//! serves them as **one** [`Engine::serve`] call; it never waits for more.
+//! Requests that arrive while the engine is busy queue up and become the
+//! next batch, so batches grow exactly when load makes batching pay, and
+//! a lone connection is served the moment its request lands. The engine's
+//! own worker pool then fans each batch out across shards.
 //!
 //! Batching across requests with different `k` serves the batch at the
 //! maximum requested `k` and truncates per request afterwards — results
@@ -56,7 +56,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -87,11 +87,8 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7377` (port `0` picks a free port;
     /// read the bound address back from [`ServerHandle::addr`]).
     pub addr: String,
-    /// Micro-batching window: after the first query of a batch arrives,
-    /// wait at most this long for more before serving.
-    pub batch_window: Duration,
-    /// Serve a batch as soon as this many queries are pending, even inside
-    /// the window.
+    /// Cap on one batch: the batcher stops taking queued requests once
+    /// this many queries are in hand (one request is never split).
     pub max_batch: usize,
     /// Largest `k` a request may ask for.
     pub max_k: usize,
@@ -113,13 +110,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults tuned for loopback serving: 500 µs window, 256-query
-    /// batches, `k` capped at 1024, a 1024-query admission cap degrading
+    /// Defaults tuned for loopback serving: batches of at most 256
+    /// queries, `k` capped at 1024, a 1024-query admission cap degrading
     /// from half that depth, no metrics registry.
     pub fn new(addr: impl Into<String>, dim: usize) -> Self {
         Self {
             addr: addr.into(),
-            batch_window: Duration::from_micros(500),
             max_batch: 256,
             max_k: 1024,
             dim,
@@ -415,21 +411,15 @@ fn accept_loop(
 
 fn batcher_loop(shared: &Arc<Shared>, rx: &Receiver<Pending>) {
     while let Ok(first) = rx.recv() {
-        let deadline = Instant::now() + shared.config.batch_window;
+        // Natural batching: everything already queued joins this batch,
+        // and nothing waits for more. Requests that arrive while the
+        // engine is busy become the next batch.
+        let mut total = first.queries.len();
         let mut pending = vec![first];
-        let mut total: usize = pending[0].queries.len();
         while total < shared.config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(p) => {
-                    total += p.queries.len();
-                    pending.push(p);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
+            let Ok(p) = rx.try_recv() else { break };
+            total += p.queries.len();
+            pending.push(p);
         }
         // Defense in depth: per-query panics are already isolated inside
         // the engine, but a panic in the coalescing bookkeeping itself
@@ -624,9 +614,6 @@ fn handle_frame(
                 write_frame_versioned(stream, &reply, version)?;
                 return Ok(true);
             }
-            if let Some(m) = &shared.metrics {
-                m.queue_depth_gauge.set((prior + cost).max(0));
-            }
             // A zero deadline means "none"; a deadline too far in the
             // future to represent clamps to no deadline (same behaviour).
             let deadline = if deadline_micros > 0 {
@@ -651,6 +638,12 @@ fn handle_frame(
                     version,
                 )?;
                 return Ok(false);
+            }
+            // Published only once the request is in the queue, so a
+            // reading of N means N queries are there for the batcher.
+            if let Some(m) = &shared.metrics {
+                let depth = shared.queue_depth.load(Ordering::Relaxed);
+                m.queue_depth_gauge.set(depth.max(0));
             }
             match reply_rx.recv() {
                 Ok((results, outcomes)) => {

@@ -4,7 +4,6 @@
 //! same operation stream.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use permsearch_core::Dataset;
 use permsearch_datasets::{sift_like, Generator};
@@ -41,7 +40,6 @@ fn start_world() -> World {
     engine.attach_metrics(&metrics, 8);
     let engine = Arc::new(engine);
     let mut config = ServerConfig::new("127.0.0.1:0", dim);
-    config.batch_window = Duration::from_micros(200);
     config.metrics = Some(metrics);
     let handle = Server::start_mutable(Arc::clone(&engine), config).expect("bind mutable server");
     let addr = handle.addr().to_string();

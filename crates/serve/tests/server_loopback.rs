@@ -6,12 +6,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use permsearch_core::Dataset;
+use permsearch_core::{Dataset, Neighbor};
 use permsearch_datasets::{sift_like, Generator};
-use permsearch_engine::{dense_l2_registry, Engine, MetricsRegistry, ShardedEngine};
+use permsearch_engine::{
+    dense_l2_registry, Engine, MetricsRegistry, ServeOptions, ServeOutput, ShardedEngine,
+};
 use permsearch_serve::{
     frame_to_vec, read_frame, write_frame, Client, Frame, ProtocolError, Server, ServerConfig,
     ServerHandle, MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -30,6 +32,14 @@ struct World {
 
 /// Build a small exact deployment in memory and serve it on a free port.
 fn start_world() -> World {
+    start_world_with(|engine| engine).0
+}
+
+/// Like [`start_world`], but the server sees the engine through `wrap`;
+/// the wrapper is returned beside the world.
+fn start_world_with<E: Engine<Vec<f32>> + 'static>(
+    wrap: impl FnOnce(Arc<ShardedEngine<Vec<f32>>>) -> Arc<E>,
+) -> (World, Arc<E>) {
     let gen = sift_like();
     let data = Arc::new(Dataset::new_flat(gen.generate(N, SEED)));
     let dim = data.dim();
@@ -42,18 +52,19 @@ fn start_world() -> World {
     engine.attach_metrics(&metrics, 8);
     let engine = Arc::new(engine);
     let mut config = ServerConfig::new("127.0.0.1:0", dim);
-    config.batch_window = Duration::from_micros(200);
     config.metrics = Some(Arc::clone(&metrics));
-    let handle = Server::start(Arc::clone(&engine) as Arc<dyn Engine<Vec<f32>>>, config)
+    let served = wrap(Arc::clone(&engine));
+    let handle = Server::start(Arc::clone(&served) as Arc<dyn Engine<Vec<f32>>>, config)
         .expect("bind loopback server");
     let addr = handle.addr().to_string();
-    World {
+    let world = World {
         engine,
         registry: metrics,
         handle,
         addr,
         queries,
-    }
+    };
+    (world, served)
 }
 
 /// Prove the server still serves: fresh connection, correct results.
@@ -265,7 +276,7 @@ fn concurrent_clients_with_different_k_each_get_their_own_k() {
     for t in threads {
         let (k, queries, results) = t.join().expect("client thread");
         let want = world.engine.serve(&queries, k);
-        // Micro-batching coalesces different-k requests at k_max and
+        // Batching coalesces different-k requests at k_max and
         // truncates per request: every client still sees exactly its own
         // top-k, bit-identical to an uncoalesced serve.
         assert_eq!(results, want.results, "k={k} diverged under coalescing");
@@ -276,7 +287,7 @@ fn concurrent_clients_with_different_k_each_get_their_own_k() {
     let text = world.registry.render_text();
     let families = permsearch_obs::validate_text(&text).expect("exposition parses");
     assert!(families.iter().any(|f| f == "permsearch_tcp_batches_total"));
-    let batched: u64 = parse_counter(&text, "permsearch_tcp_batched_queries_total");
+    let batched: u64 = sample_sum(&text, "permsearch_tcp_batched_queries_total");
     assert_eq!(batched, 32, "all 4x8 queries served through the batcher");
     world.handle.shutdown();
 }
@@ -345,8 +356,170 @@ fn metrics_exposition_reparses_with_tcp_families() {
     world.handle.shutdown();
 }
 
-/// Sum every sample of a counter family in a text exposition.
-fn parse_counter(text: &str, family: &str) -> u64 {
+#[test]
+fn a_lone_connection_is_not_held() {
+    // With nothing else queued, a request is served the moment it lands:
+    // no timer stands between a lone closed-loop client and the engine.
+    // Each round trip is paired with an in-process call on the same query
+    // and the bound is on the difference, so it holds in unoptimised
+    // builds too, where the scan itself takes most of a millisecond. The
+    // lower quartile is bounded rather than the median because the other
+    // tests in this file share the cores and disturb some pairs; a server
+    // that holds every request for a fixed window fails either way.
+    let world = start_world();
+    let mut client = Client::connect(world.addr.as_str()).expect("connect");
+    let mut added_us: Vec<f64> = (0..200)
+        .map(|i| {
+            let query = &world.queries[i % world.queries.len()..][..1];
+            let start = Instant::now();
+            world.engine.serve(query, 5);
+            let engine = start.elapsed();
+            let start = Instant::now();
+            client.search(query, 5).expect("serve");
+            (start.elapsed().as_secs_f64() - engine.as_secs_f64()) * 1e6
+        })
+        .collect();
+    added_us.sort_by(f64::total_cmp);
+    let (quartile, median) = (added_us[added_us.len() / 4], added_us[added_us.len() / 2]);
+    assert!(
+        quartile < 250.0,
+        "an idle server added {quartile:.0} µs (lower quartile; median {median:.0} µs) \
+         to the engine's own time"
+    );
+    world.handle.shutdown();
+}
+
+/// An engine wrapper that records the size of every batch it is handed
+/// and holds the first one until [`GatedEngine::open`].
+struct GatedEngine {
+    inner: Arc<ShardedEngine<Vec<f32>>>,
+    state: Mutex<Gate>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Gate {
+    open: bool,
+    batches: Vec<usize>,
+}
+
+impl GatedEngine {
+    fn new(inner: Arc<ShardedEngine<Vec<f32>>>) -> Self {
+        Self {
+            inner,
+            state: Mutex::default(),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn wait_for_batches(&self, n: usize) {
+        let mut gate = self.state.lock().unwrap();
+        while gate.batches.len() < n {
+            gate = self.changed.wait(gate).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().open = true;
+        self.changed.notify_all();
+    }
+
+    fn batches(&self) -> Vec<usize> {
+        self.state.lock().unwrap().batches.clone()
+    }
+}
+
+impl Engine<Vec<f32>> for GatedEngine {
+    fn serve(&self, queries: &[Vec<f32>], k: usize) -> ServeOutput {
+        self.serve_opts(queries, k, &ServeOptions::default())
+    }
+
+    fn serve_opts(&self, queries: &[Vec<f32>], k: usize, options: &ServeOptions) -> ServeOutput {
+        let mut gate = self.state.lock().unwrap();
+        gate.batches.push(queries.len());
+        self.changed.notify_all();
+        while !gate.open {
+            gate = self.changed.wait(gate).unwrap();
+        }
+        drop(gate);
+        self.inner.serve_opts(queries, k, options)
+    }
+
+    fn method(&self) -> &str {
+        self.inner.method()
+    }
+
+    fn num_shards(&self) -> usize {
+        self.inner.num_shards()
+    }
+
+    fn workers(&self) -> usize {
+        self.inner.workers()
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+/// Spin, without sleeping, until the batcher-queue gauge reads `depth`.
+fn wait_for_queue_depth(registry: &MetricsRegistry, depth: u64) {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while sample_sum(&registry.render_text(), "permsearch_tcp_queue_depth") != depth {
+        assert!(Instant::now() < give_up, "queue depth never read {depth}");
+        std::thread::yield_now();
+    }
+}
+
+/// Neighbor lists as (id, distance bits), for bitwise comparison.
+fn bits(results: &[Vec<Neighbor>]) -> Vec<Vec<(u32, u32)>> {
+    results
+        .iter()
+        .map(|r| r.iter().map(|n| (n.id, n.dist.to_bits())).collect())
+        .collect()
+}
+
+#[test]
+fn requests_queued_behind_a_busy_engine_become_the_next_batch() {
+    const FOLLOWERS: usize = 5;
+    let (world, gated) = start_world_with(|engine| Arc::new(GatedEngine::new(engine)));
+    let search = |i: usize, k: usize| {
+        let addr = world.addr.clone();
+        let query = world.queries[i..=i].to_vec();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr.as_str()).expect("connect");
+            let got = client.search(&query, k as u32).expect("serve");
+            (query, k, got)
+        })
+    };
+
+    // The first request reaches the engine alone and holds it busy.
+    let mut clients = vec![search(0, 4)];
+    gated.wait_for_batches(1);
+    // Followers arrive on their own connections meanwhile. Each is in the
+    // queue before the next is sent: the gauge is set, not added to, so
+    // concurrent enqueues could leave it short of the true depth.
+    for i in 1..=FOLLOWERS {
+        clients.push(search(i, 1 + i * 3 % 7));
+        wait_for_queue_depth(&world.registry, i as u64);
+    }
+    gated.open();
+
+    for client in clients {
+        let (query, k, got) = client.join().expect("client thread");
+        let want = world.engine.serve(&query, k);
+        assert_eq!(bits(&got), bits(&want.results), "k={k} reply diverged");
+    }
+    assert_eq!(
+        gated.batches(),
+        vec![1, FOLLOWERS],
+        "everything queued while the engine was busy is one batch"
+    );
+    world.handle.shutdown();
+}
+
+/// Sum every sample of a counter or gauge family in a text exposition.
+fn sample_sum(text: &str, family: &str) -> u64 {
     text.lines()
         .filter(|l| l.starts_with(family) && !l.starts_with('#'))
         .filter_map(|l| l.rsplit(' ').next())

@@ -26,9 +26,9 @@
 //!   index saves to disk and reloads without rebuilding, which is how the
 //!   engine warm-starts (`examples/warm_start.rs`);
 //! * [`serve`] — the TCP front door: a length-prefixed checksummed frame
-//!   protocol, a thread-per-connection server that micro-batches
-//!   concurrent queries into single engine batches, a blocking client,
-//!   and open-loop Poisson load generation.
+//!   protocol, a thread-per-connection server that serves whatever
+//!   queries queued while the engine was busy as one engine batch, a
+//!   blocking client, and open-loop Poisson load generation.
 //!
 //! ## Quickstart
 //!
