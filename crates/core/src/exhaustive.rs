@@ -38,12 +38,6 @@ impl<P: Point, S: Space<P::Ref>> ExhaustiveSearch<P, S> {
 }
 
 impl<P: Point, S: Space<P::Ref>> SearchIndex<P> for ExhaustiveSearch<P, S> {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Batched scan: points are scored in [`crate::BATCH_WIDTH`] blocks via
     /// [`Space::distance_block`] and offered to the reused result heap in
     /// increasing id order — the same push sequence as the scalar scan, so

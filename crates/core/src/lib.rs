@@ -67,33 +67,35 @@ pub type BoxedSearchIndex<P> = Box<dyn SearchIndex<P> + Send + Sync>;
 /// Implementations answer approximate (or, for brute force, exact) k-nearest
 /// neighbor queries against the dataset they were built over. Results are
 /// returned sorted by increasing distance; ties are broken arbitrarily.
+///
+/// [`search_into`](Self::search_into) is the one query method an index
+/// implements; [`search`](Self::search) is a provided convenience over it.
 pub trait SearchIndex<P> {
-    /// Return up to `k` approximate nearest neighbors of `query`,
-    /// sorted by increasing distance in the *original* space.
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor>;
-
-    /// Scratch-reusing form of [`search`](Self::search): results are
-    /// written into `out` (cleared first) and every intermediate buffer —
-    /// candidate lists, visited sets, result heaps — lives in `scratch`,
-    /// so a serving thread that reuses one scratch and one output vector
-    /// performs no per-query heap allocation in steady state.
+    /// Write up to `k` approximate nearest neighbors of `query` into `out`
+    /// (cleared first), sorted by increasing distance in the *original*
+    /// space. Every intermediate buffer — candidate lists, visited sets,
+    /// result heaps — lives in `scratch`, so a serving thread that reuses
+    /// one scratch and one output vector performs no per-query heap
+    /// allocation in steady state.
     ///
-    /// **Equivalence contract:** must produce exactly the `Neighbor` list
-    /// `search` returns, distance-tie ordering included, regardless of
-    /// what earlier queries left in `scratch` (pinned by the cross-method
-    /// scratch-equivalence tests). The default delegates to `search`;
-    /// every index in this workspace overrides it with the real pipeline
-    /// and implements `search` by delegating the other way.
+    /// **Reuse contract:** the answer must not depend on what earlier
+    /// queries left in `scratch`, distance-tie ordering included (pinned
+    /// by the cross-method scratch-equivalence tests).
     fn search_into(
         &self,
         query: &P,
         k: usize,
         scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.search(query, k));
+    );
+
+    /// Allocating form of [`search_into`](Self::search_into): a fresh
+    /// scratch and a fresh result vector per call. For tests, examples and
+    /// one-off queries; serving loops reuse their buffers instead.
+    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
+        out
     }
 
     /// Number of indexed points.
@@ -117,9 +119,6 @@ pub trait SearchIndex<P> {
 // generic consumers like `eval::runner::evaluate` accept a
 // [`BoxedSearchIndex`] without unwrapping it.
 impl<P, I: SearchIndex<P> + ?Sized> SearchIndex<P> for Box<I> {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        (**self).search(query, k)
-    }
     fn search_into(
         &self,
         query: &P,
@@ -150,8 +149,14 @@ mod trait_tests {
     struct Dummy;
 
     impl SearchIndex<f32> for Dummy {
-        fn search(&self, _query: &f32, _k: usize) -> Vec<Neighbor> {
-            Vec::new()
+        fn search_into(
+            &self,
+            _query: &f32,
+            _k: usize,
+            _scratch: &mut SearchScratch,
+            out: &mut Vec<Neighbor>,
+        ) {
+            out.clear();
         }
         fn len(&self) -> usize {
             0

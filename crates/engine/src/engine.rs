@@ -18,23 +18,23 @@ use permsearch_obs::MetricsRegistry;
 
 use crate::metrics::{set_deployment_gauges, ServeMetrics};
 use crate::registry::{EngineError, MethodRegistry, Provenance};
-use crate::serve::{optional_recall, serve_batch_opts, ServeOptions, ServeOutput, ServeReport};
+use crate::serve::{optional_recall, serve_batch, ServeOptions, ServeOutput, ServeReport};
 use crate::shard::ShardedIndex;
 
 /// A deployed, batch-serving search engine. Object-safe.
+///
+/// [`serve_opts`](Self::serve_opts) is the one serving method an engine
+/// implements; [`serve`](Self::serve) is a provided convenience over it.
 pub trait Engine<P>: Send + Sync {
-    /// Serve one query batch, returning the global top-`k` per query plus
-    /// batch statistics.
-    fn serve(&self, queries: &[P], k: usize) -> ServeOutput;
-
     /// Serve one query batch under [`ServeOptions`] — degraded-mode
-    /// refinement and per-query deadlines. Default-option calls are
-    /// bit-identical to [`serve`](Self::serve); the default trait impl
-    /// ignores the options entirely so existing engines stay correct
-    /// (never degraded, never cut).
-    fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput {
-        let _ = options;
-        self.serve(queries, k)
+    /// refinement and per-query deadlines — returning the global top-`k`
+    /// per query, per-query outcomes and batch statistics.
+    fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput;
+
+    /// [`serve_opts`](Self::serve_opts) with default options: never
+    /// degraded, no deadlines.
+    fn serve(&self, queries: &[P], k: usize) -> ServeOutput {
+        self.serve_opts(queries, k, &ServeOptions::default())
     }
 
     /// Registry name of the deployed method.
@@ -234,12 +234,6 @@ where
         Ok((engine, warm))
     }
 
-    /// Change the worker-pool size between batches (used by throughput
-    /// sweeps so one build serves every worker count).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
     /// Publish this deployment into `registry`: registers every serving
     /// family under the engine's method label, sets the deployment-shape
     /// gauges (total points, shard count, per-shard points), and turns on
@@ -394,12 +388,8 @@ impl<P> Engine<P> for ShardedEngine<P>
 where
     P: Send + Sync,
 {
-    fn serve(&self, queries: &[P], k: usize) -> ServeOutput {
-        self.serve_opts(queries, k, &ServeOptions::default())
-    }
-
     fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput {
-        serve_batch_opts(
+        serve_batch(
             &self.sharded,
             queries,
             k,
@@ -473,8 +463,7 @@ mod tests {
     fn report_carries_deployment_metadata() {
         let (data, queries) = grid_world(120);
         let reg = dense_l2_registry();
-        let mut engine = ShardedEngine::from_registry(&reg, "napp", &data, 4, 1, 7).unwrap();
-        engine.set_workers(3);
+        let engine = ShardedEngine::from_registry(&reg, "napp", &data, 4, 3, 7).unwrap();
         let gold = permsearch_eval::compute_gold(&data, permsearch_spaces::L2, &queries, 5);
         let (out, report) = engine.serve_with_report(&queries, 5, Some(&gold));
         assert_eq!(report.shards, 4);

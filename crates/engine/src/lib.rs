@@ -19,7 +19,7 @@
 //!   records per-query latencies;
 //! * [`Engine`] / [`ShardedEngine`] — the object-safe serving façade,
 //!   producing [`ServeReport`]s (QPS, mean/p50/p99 latency, optional
-//!   recall) for dashboards and the `serve_throughput` harness.
+//!   recall) for dashboards.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -58,8 +58,8 @@ pub use registry::{
     MutableBuilder, Provenance, SnapshotLoader, SnapshotSaver,
 };
 pub use serve::{
-    effective_workers, percentile, serve_batch, serve_batch_observed, serve_batch_opts,
-    QueryOutcome, ServeOptions, ServeOutput, ServeReport, ServeStats,
+    effective_workers, percentile, serve_batch, QueryOutcome, ServeOptions, ServeOutput,
+    ServeReport, ServeStats,
 };
 pub use shard::ShardedIndex;
 

@@ -94,7 +94,7 @@ use permsearch_store::{
 use crate::engine::{Engine, ShardedEngine, WarmStart};
 use crate::metrics::{set_deployment_gauges, ServeMetrics};
 use crate::registry::{EngineError, MethodRegistry};
-use crate::serve::{serve_batch_opts, ServeOptions, ServeOutput};
+use crate::serve::{serve_batch, ServeOptions, ServeOutput};
 
 /// Journal op tag: insert one point (payload = the point's codec bytes).
 pub const OP_INSERT: u8 = 1;
@@ -812,12 +812,6 @@ impl<P> SearchIndex<P> for MutableEngine<P>
 where
     P: PointCodec + Clone,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<permsearch_core::Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// The generational merge. Every source is overfetched by the
     /// tombstone count — at most that many dead entries can precede the
     /// k-th live result — masked, remapped to global ids, and reduced by
@@ -909,12 +903,8 @@ impl<P> Engine<P> for MutableEngine<P>
 where
     P: PointCodec + Clone,
 {
-    fn serve(&self, queries: &[P], k: usize) -> ServeOutput {
-        self.serve_opts(queries, k, &ServeOptions::default())
-    }
-
     fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput {
-        serve_batch_opts(
+        serve_batch(
             self,
             queries,
             k,

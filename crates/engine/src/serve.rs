@@ -12,9 +12,9 @@
 //! adds deployment metadata and optional recall against a [`GoldStandard`]
 //! in a serializable, JSON-emitting record.
 //!
-//! [`serve_batch_observed`] additionally publishes into an attached
-//! [`ServeMetrics`] handle bundle: cumulative query/latency families plus
-//! the 1-in-`N` sampled per-query stage traces.
+//! When a [`ServeMetrics`] handle bundle is supplied, [`serve_batch`] also
+//! publishes into it: cumulative query/latency families plus the
+//! 1-in-`N` sampled per-query stage traces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -51,25 +51,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Summarize a batch from its wall time and exact per-query latencies
-    /// (seconds). Kept for tests and offline summaries; the serving path
-    /// itself uses [`from_histogram`](Self::from_histogram).
-    pub fn from_latencies(batch_secs: f64, latencies: &mut [f64]) -> Self {
-        if latencies.is_empty() {
-            return Self::zeroed(batch_secs);
-        }
-        latencies.sort_unstable_by(f64::total_cmp);
-        Self {
-            queries: latencies.len(),
-            batch_secs,
-            qps: Self::qps_of(latencies.len(), batch_secs),
-            mean_latency_secs: permsearch_obs::mean(latencies),
-            p50_latency_secs: percentile(latencies, 0.50),
-            p99_latency_secs: percentile(latencies, 0.99),
-            p999_latency_secs: percentile(latencies, 0.999),
-        }
-    }
-
     /// Summarize a batch from the merged per-worker latency histogram.
     /// The mean is exact (true sum over true count); the percentiles carry
     /// the histogram's bounded relative error
@@ -147,13 +128,6 @@ pub struct ServeOptions {
     pub deadlines: Vec<Option<Instant>>,
 }
 
-impl ServeOptions {
-    /// Whether these options can change anything about the served batch.
-    pub fn is_noop(&self) -> bool {
-        !self.degraded && self.deadlines.iter().all(|d| d.is_none())
-    }
-}
-
 /// Results plus statistics for one served batch.
 #[derive(Debug, Clone)]
 pub struct ServeOutput {
@@ -180,56 +154,30 @@ impl ServeOutput {
     }
 }
 
-/// Serve `queries` against `index` with `workers` threads, collecting the
-/// top-`k` per query and per-query latencies.
-///
-/// `workers == 1` runs inline on the calling thread (no pool overhead), so
-/// single-worker numbers are an honest baseline for scaling measurements.
 /// Worker threads actually used for a batch: at least one, and never more
 /// than there are queries to hand out.
 pub fn effective_workers(requested: usize, batch_len: usize) -> usize {
     requested.max(1).min(batch_len.max(1))
 }
 
-pub fn serve_batch<P, I>(index: &I, queries: &[P], k: usize, workers: usize) -> ServeOutput
-where
-    P: Sync,
-    I: SearchIndex<P> + Sync + ?Sized,
-{
-    serve_batch_observed(index, queries, k, workers, None)
-}
-
-/// [`serve_batch`] with optional metric publication: when `metrics` is
-/// supplied, every query lands in the registry's cumulative latency
-/// histogram and query counter, batches are counted, and 1-in-`N` queries
-/// run with an armed stage trace that is harvested into the per-stage
-/// counters. The off-sample tracing cost is one branch per query.
-pub fn serve_batch_observed<P, I>(
-    index: &I,
-    queries: &[P],
-    k: usize,
-    workers: usize,
-    metrics: Option<&ServeMetrics>,
-) -> ServeOutput
-where
-    P: Sync,
-    I: SearchIndex<P> + Sync + ?Sized,
-{
-    serve_batch_opts(
-        index,
-        queries,
-        k,
-        workers,
-        metrics,
-        &ServeOptions::default(),
-    )
-}
-
-/// [`serve_batch_observed`] with per-batch [`ServeOptions`]: degraded-mode
-/// refinement and per-query deadlines. Per-query work additionally runs
-/// under `catch_unwind`, so a panic inside one search poisons one answer
-/// (empty result, `failed` outcome) instead of the worker pool.
-pub fn serve_batch_opts<P, I>(
+/// Serve `queries` against `index` with `workers` threads, collecting the
+/// top-`k` per query, per-query outcomes and batch statistics.
+///
+/// `workers == 1` runs inline on the calling thread (no pool overhead), so
+/// single-worker numbers are an honest baseline for scaling measurements.
+///
+/// * `metrics` — when supplied, every query lands in the registry's
+///   cumulative latency histogram and query counter, batches are counted,
+///   and 1-in-`N` queries run with an armed stage trace that is harvested
+///   into the per-stage counters. The off-sample tracing cost is one
+///   branch per query.
+/// * `options` — degraded-mode refinement and per-query deadlines;
+///   [`ServeOptions::default`] serves every query in full.
+///
+/// Per-query work runs under `catch_unwind`, so a panic inside one search
+/// poisons one answer (empty result, `failed` outcome) instead of the
+/// worker pool.
+pub fn serve_batch<P, I>(
     index: &I,
     queries: &[P],
     k: usize,
@@ -467,13 +415,23 @@ mod tests {
         (data, queries)
     }
 
+    /// An unobserved batch under default options.
+    fn serve_plain<I: SearchIndex<Vec<f32>> + Sync>(
+        idx: &I,
+        queries: &[Vec<f32>],
+        k: usize,
+        workers: usize,
+    ) -> ServeOutput {
+        serve_batch(idx, queries, k, workers, None, &ServeOptions::default())
+    }
+
     #[test]
     fn results_identical_across_worker_counts() {
         let (data, queries) = line_world(200);
         let idx = ExhaustiveSearch::new(data, L2);
-        let one = serve_batch(&idx, &queries, 5, 1);
+        let one = serve_plain(&idx, &queries, 5, 1);
         for w in [2, 3, 8, 64] {
-            let many = serve_batch(&idx, &queries, 5, w);
+            let many = serve_plain(&idx, &queries, 5, w);
             assert_eq!(one.results, many.results, "workers={w}");
         }
         assert_eq!(one.stats.queries, 40);
@@ -484,16 +442,13 @@ mod tests {
 
     #[test]
     fn empty_latencies_summarize_to_zero() {
-        let stats = ServeStats::from_latencies(1.0, &mut []);
+        let stats =
+            ServeStats::from_histogram(1.0, &permsearch_obs::LatencyHistogram::new().snapshot());
         assert_eq!(stats.queries, 0);
         assert_eq!(stats.qps, 0.0);
         assert_eq!(stats.mean_latency_secs, 0.0);
         assert_eq!(stats.p50_latency_secs, 0.0);
         assert_eq!(stats.p999_latency_secs, 0.0);
-        let from_hist =
-            ServeStats::from_histogram(1.0, &permsearch_obs::LatencyHistogram::new().snapshot());
-        assert_eq!(from_hist.queries, 0);
-        assert_eq!(from_hist.p999_latency_secs, 0.0);
     }
 
     #[test]
@@ -530,8 +485,15 @@ mod tests {
         let idx = ExhaustiveSearch::new(data, L2);
         let registry = permsearch_obs::MetricsRegistry::new();
         let metrics = crate::metrics::ServeMetrics::register(&registry, "brute-force", 2, 4);
-        let plain = serve_batch(&idx, &queries, 5, 2);
-        let observed = serve_batch_observed(&idx, &queries, 5, 2, Some(&metrics));
+        let plain = serve_plain(&idx, &queries, 5, 2);
+        let observed = serve_batch(
+            &idx,
+            &queries,
+            5,
+            2,
+            Some(&metrics),
+            &ServeOptions::default(),
+        );
         assert_eq!(plain.results, observed.results);
         assert_eq!(metrics.queries_total.get(), 40);
         assert_eq!(metrics.batches_total.get(), 1);
@@ -559,7 +521,15 @@ mod tests {
 
     #[test]
     fn report_json_is_well_formed() {
-        let stats = ServeStats::from_latencies(0.5, &mut [0.1, 0.2, 0.3]);
+        let stats = ServeStats {
+            queries: 3,
+            batch_secs: 0.5,
+            qps: 6.0,
+            mean_latency_secs: 0.2,
+            p50_latency_secs: 0.2,
+            p99_latency_secs: 0.3,
+            p999_latency_secs: 0.3,
+        };
         let report = ServeReport {
             method: "napp".into(),
             num_points: 100,
@@ -583,7 +553,9 @@ mod tests {
 
     #[test]
     fn report_json_nulls_non_finite_floats() {
-        let mut stats = ServeStats::from_latencies(0.0, &mut [0.1]);
+        let hist = permsearch_obs::LatencyHistogram::new();
+        hist.record(100_000_000);
+        let mut stats = ServeStats::from_histogram(0.0, &hist.snapshot());
         assert_eq!(stats.qps, f64::INFINITY);
         stats.mean_latency_secs = f64::NAN;
         let report = ServeReport {
@@ -605,14 +577,14 @@ mod tests {
     fn empty_batch_is_served() {
         let (data, _) = line_world(10);
         let idx = ExhaustiveSearch::new(data, L2);
-        let out = serve_batch(&idx, &[] as &[Vec<f32>], 3, 4);
+        let out = serve_plain(&idx, &[], 3, 4);
         assert!(out.results.is_empty());
         assert_eq!(out.stats.queries, 0);
     }
 
     /// Zero-query batches must summarize to honest zeros — not NaN
-    /// percentiles or an infinite 0/0 QPS — through both stat
-    /// constructors and the full serving path.
+    /// percentiles or an infinite 0/0 QPS — at any wall time and through
+    /// the full serving path.
     #[test]
     fn empty_batch_stats_are_zeroed() {
         let finite_zeros = |stats: &ServeStats| {
@@ -625,15 +597,13 @@ mod tests {
             assert!(stats.batch_secs.is_finite());
         };
 
-        finite_zeros(&ServeStats::from_latencies(0.0, &mut []));
-        finite_zeros(&ServeStats::from_latencies(0.25, &mut []));
-
         let hist = ShardedHistogram::new(2);
         finite_zeros(&ServeStats::from_histogram(0.0, &hist.snapshot()));
+        finite_zeros(&ServeStats::from_histogram(0.25, &hist.snapshot()));
 
         let (data, _) = line_world(10);
         let idx = ExhaustiveSearch::new(data, L2);
-        let out = serve_batch(&idx, &[] as &[Vec<f32>], 3, 4);
+        let out = serve_plain(&idx, &[], 3, 4);
         finite_zeros(&out.stats);
         // The JSON report path must survive the same batch (no bare NaN
         // tokens, which are invalid JSON).

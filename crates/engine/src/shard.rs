@@ -136,18 +136,11 @@ impl<P> ShardedIndex<P> {
 }
 
 impl<P> SearchIndex<P> for ShardedIndex<P> {
-    /// Per-shard top-k searches followed by the k-way heap merge.
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
-    /// Scratch pipeline: each shard's `search_into` runs with the shared
-    /// scratch writing into a per-shard list reused across queries, and the
-    /// reduce step is the scratch-backed k-way merge — the same candidate
-    /// order as the allocating path, so the global `(distance, id)` tie
-    /// behavior is unchanged.
+    /// Per-shard top-k searches followed by the k-way heap merge. Each
+    /// shard's `search_into` runs with the shared scratch writing into a
+    /// per-shard list reused across queries, and the reduce step is the
+    /// scratch-backed k-way merge, whose `(distance, id)` tie order matches
+    /// an unsharded search.
     fn search_into(
         &self,
         query: &P,

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use permsearch_core::{CountedSpace, Dataset};
-use permsearch_engine::{serve_batch, standard_registry, MetricsRegistry, ShardedEngine};
+use permsearch_engine::{standard_registry, Engine, MetricsRegistry, ShardedEngine};
 use permsearch_spaces::L2;
 
 fn world(n: usize) -> (Arc<Dataset<Vec<f32>>>, Vec<Vec<f32>>) {
@@ -47,8 +47,8 @@ fn registry_dists_total_matches_counted_space_per_method() {
         let control =
             ShardedEngine::from_registry(&control_methods, method, &data, 2, 1, 7).unwrap();
 
-        let a = serve_batch(observed.sharded(), &queries, 5, 1);
-        let b = serve_batch(control.sharded(), &queries, 5, 1);
+        let a = observed.serve(&queries, 5);
+        let b = control.serve(&queries, 5);
         assert_eq!(a.results, b.results, "{method}: deployments must be twins");
 
         assert!(handle.get() > 0, "{method}: no distances counted");

@@ -16,13 +16,13 @@
 //!   propagation from a random initial k-NN graph until convergence.
 //!
 //! Both graphs are queried with the same best-first algorithm
-//! ([`search::greedy_search`]), mirroring the paper's use of the NMSLIB
-//! search routine for NN-descent-built graphs.
+//! ([`search::greedy_search_with`]), mirroring the paper's use of the
+//! NMSLIB search routine for NN-descent-built graphs.
 
 pub mod nndescent;
 pub mod search;
 pub mod sw;
 
 pub use nndescent::{nndescent, NnDescentGraph, NnDescentParams};
-pub use search::{greedy_search, greedy_search_with};
+pub use search::greedy_search_with;
 pub use sw::{SwGraph, SwGraphParams};

@@ -18,9 +18,9 @@ use std::sync::Arc;
 use rand::Rng;
 
 use permsearch_core::rng::{sample_distinct, seeded_rng};
-use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, Space};
+use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space};
 
-use crate::search::greedy_search;
+use crate::search::greedy_search_with;
 
 /// NN-descent construction/search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -285,27 +285,14 @@ where
     P: Point + Send + Sync,
     S: Space<P::Ref>,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        greedy_search(
-            &self.data,
-            &self.space,
-            &self.adjacency,
-            query.point_ref(),
-            k,
-            self.params.search_attempts,
-            self.params.search_ef,
-            self.seed ^ 0x4e4e_0000,
-        )
-    }
-
     fn search_into(
         &self,
         query: &P,
         k: usize,
-        scratch: &mut permsearch_core::SearchScratch,
+        scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        crate::search::greedy_search_with(
+        greedy_search_with(
             &self.data,
             &self.space,
             &self.adjacency,

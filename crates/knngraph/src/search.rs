@@ -14,46 +14,18 @@ use rand::Rng;
 use permsearch_core::rng::seeded_rng;
 use permsearch_core::{Dataset, Neighbor, Point, SearchScratch, Space, Stage};
 
-/// Best-first k-NN search over `adjacency`.
+/// Best-first k-NN search over `adjacency`, written into `out`.
 ///
 /// * `attempts` — number of random restarts;
 /// * `ef` — result-pool width: the expansion keeps going while candidates
 ///   are closer than the `ef`-th best seen so far (`ef ≥ k`; larger values
 ///   trade speed for recall).
-#[allow(clippy::too_many_arguments)]
-pub fn greedy_search<P: Point, S: Space<P::Ref>>(
-    data: &Dataset<P>,
-    space: &S,
-    adjacency: &[Vec<u32>],
-    query: &P::Ref,
-    k: usize,
-    attempts: usize,
-    ef: usize,
-    seed: u64,
-) -> Vec<Neighbor> {
-    let mut out = Vec::new();
-    greedy_search_with(
-        data,
-        space,
-        adjacency,
-        query,
-        k,
-        attempts,
-        ef,
-        seed,
-        &mut SearchScratch::new(),
-        &mut out,
-    );
-    out
-}
-
-/// Scratch-reusing form of [`greedy_search`]: the result pool, frontier
-/// heap and visited set are reused across queries (the visited set resets
-/// in `O(1)` via an epoch bump instead of zeroing `n` booleans). Distances
-/// along the traversal stay scalar by design — each expansion depends on
-/// the previous one's result, so there is no candidate block to batch —
-/// and the traversal, including every tie decision, is identical to the
-/// allocating form.
+///
+/// The result pool, frontier heap and visited set live in `scratch` and are
+/// reused across queries (the visited set resets in `O(1)` via an epoch
+/// bump instead of zeroing `n` booleans). Distances along the traversal
+/// stay scalar by design — each expansion depends on the previous one's
+/// result, so there is no candidate block to batch.
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_search_with<P: Point, S: Space<P::Ref>>(
     data: &Dataset<P>,
@@ -131,6 +103,31 @@ mod tests {
     use super::*;
     use permsearch_spaces::L2;
 
+    fn traverse(
+        data: &Dataset<Vec<f32>>,
+        adjacency: &[Vec<u32>],
+        query: f32,
+        k: usize,
+        attempts: usize,
+        ef: usize,
+        seed: u64,
+    ) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        greedy_search_with(
+            data,
+            &L2,
+            adjacency,
+            &[query],
+            k,
+            attempts,
+            ef,
+            seed,
+            &mut SearchScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
     /// A 1-d line graph 0-1-2-...-9 with points at integer coordinates:
     /// greedy search must walk to the true nearest neighbor.
     #[test]
@@ -148,7 +145,7 @@ mod tests {
                 nb
             })
             .collect();
-        let res = greedy_search(&data, &L2, &adjacency, &[6.4f32], 2, 3, 4, 1);
+        let res = traverse(&data, &adjacency, 6.4, 2, 3, 4, 1);
         assert_eq!(res[0].id, 6);
         assert_eq!(res[1].id, 7);
     }
@@ -156,7 +153,7 @@ mod tests {
     #[test]
     fn empty_graph_returns_nothing() {
         let data: Dataset<Vec<f32>> = Dataset::default();
-        let res = greedy_search(&data, &L2, &[], &[0.0f32], 5, 2, 8, 0);
+        let res = traverse(&data, &[], 0.0, 5, 2, 8, 0);
         assert!(res.is_empty());
     }
 
@@ -173,7 +170,7 @@ mod tests {
                 base.filter(|&j| j != i).collect()
             })
             .collect();
-        let res = greedy_search(&data, &L2, &adjacency, &[100.02f32], 1, 10, 4, 7);
+        let res = traverse(&data, &adjacency, 100.02, 1, 10, 4, 7);
         assert_eq!(res[0].id, 7, "must find the far component");
     }
 }

@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, Space};
+use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space};
 
-use crate::search::greedy_search;
+use crate::search::greedy_search_with;
 
 /// Small-World graph construction/search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +65,7 @@ where
             // We restrict the search to inserted nodes by building a view:
             // adjacency entries only reference ids < id by construction,
             // and entry points must be sampled below id, so we run a
-            // dedicated partial search here instead of greedy_search.
+            // dedicated partial search here instead of greedy_search_with.
             let found = partial_search(
                 &data,
                 &space,
@@ -315,27 +315,14 @@ where
     P: Point + Send + Sync,
     S: Space<P::Ref>,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        greedy_search(
-            &self.data,
-            &self.space,
-            &self.adjacency,
-            query.point_ref(),
-            k,
-            self.params.search_attempts,
-            self.params.search_ef,
-            self.seed ^ 0x5157_0000,
-        )
-    }
-
     fn search_into(
         &self,
         query: &P,
         k: usize,
-        scratch: &mut permsearch_core::SearchScratch,
+        scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        crate::search::greedy_search_with(
+        greedy_search_with(
             &self.data,
             &self.space,
             &self.adjacency,

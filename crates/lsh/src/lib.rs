@@ -419,12 +419,6 @@ impl permsearch_core::Snapshot<Vec<f32>, ()> for MpLsh {
 }
 
 impl SearchIndex<Vec<f32>> for MpLsh {
-    fn search(&self, query: &Vec<f32>, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: candidate ids are gathered across all tables and
     /// probes (deduplicated by the reused epoch visited-set), sorted
     /// ascending for near-sequential arena reads, then refined in one

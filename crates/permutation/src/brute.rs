@@ -93,17 +93,10 @@ where
     P: Point + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the query permutation is induced with batched
     /// pivot scoring, the filtering stage is one flat scan over the
     /// contiguous permutation table, and refinement scores the γ survivors
-    /// in batched blocks — all through reused buffers, with results
-    /// identical to the allocating path.
+    /// in batched blocks — all through reused buffers.
     fn search_into(
         &self,
         query: &P,
@@ -222,15 +215,9 @@ where
     P: Point + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: batched query-permutation induction, one flat
     /// XOR+popcount pass over the contiguous word table, batched
-    /// refinement. Identical results to the allocating path.
+    /// refinement.
     fn search_into(
         &self,
         query: &P,

@@ -177,17 +177,11 @@ where
     P: Point + Clone + Send + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline, mirroring the static NAPP: the ScanCount
     /// counter array re-zeroes over retained capacity (the paper's
     /// per-query memset), ranks compute into reused buffers, and the
     /// result heap drains into `out` — no per-query allocation in steady
-    /// state, identical results to the allocating path.
+    /// state.
     fn search_into(
         &self,
         query: &P,

@@ -157,16 +157,10 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the accumulator array is re-initialized in place
     /// (same pessimistic `ms · m` start), the touched-id and scored
     /// buffers are reused, query-permutation induction and refinement are
-    /// batched. Identical results to the allocating path.
+    /// batched.
     fn search_into(
         &self,
         query: &P,

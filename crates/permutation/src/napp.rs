@@ -168,18 +168,11 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the ScanCount counter array is reused (its
-    /// re-zeroing *is* the paper's per-query memset, now over retained
+    /// re-zeroing *is* the paper's per-query memset, over retained
     /// capacity instead of a fresh allocation), candidate pairs collect
     /// into a reused buffer — counts widened from `u8` to `u32`, which
     /// preserves the sort order exactly — and refinement is batched.
-    /// Identical results to the allocating path.
     fn search_into(
         &self,
         query: &P,

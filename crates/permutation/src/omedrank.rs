@@ -13,10 +13,10 @@ use std::sync::Arc;
 
 use crossbeam::thread;
 
-use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, Space};
+use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space};
 
 use crate::pivots::select_pivots;
-use crate::refine::refine;
+use crate::refine::refine_into;
 
 /// OMEDRANK tuning parameters.
 #[derive(Debug, Clone)]
@@ -110,10 +110,17 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
+    fn search_into(
+        &self,
+        query: &P,
+        k: usize,
+        scratch: &mut SearchScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        out.clear();
         let n = self.data.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let l = self.lists.len();
         let quorum = ((l as f64 * self.params.quorum).floor() as u32 + 1).min(l as u32);
@@ -182,7 +189,27 @@ where
                 }
             }
         }
-        refine(&self.data, &self.space, query.point_ref(), candidates, k)
+        let SearchScratch {
+            ids,
+            dists,
+            heap,
+            trace,
+            budget,
+            ..
+        } = scratch;
+        refine_into(
+            &self.data,
+            &self.space,
+            query.point_ref(),
+            candidates,
+            k,
+            ids,
+            dists,
+            heap,
+            out,
+            trace,
+            budget,
+        );
     }
 
     fn len(&self) -> usize {

@@ -16,11 +16,11 @@
 
 use std::sync::Arc;
 
-use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, Space};
+use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space};
 use permsearch_vptree::{VpTree, VpTreeParams};
 
 use crate::perm::{compute_ranks, PermutationTable, SpearmanRhoSpace};
-use crate::refine::refine;
+use crate::refine::refine_into;
 
 /// Parameters for the permutation-VP-tree method.
 #[derive(Debug, Clone, Copy)]
@@ -103,20 +103,41 @@ where
     P: Point + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
+    fn search_into(
+        &self,
+        query: &P,
+        k: usize,
+        scratch: &mut SearchScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        out.clear();
         if self.data.is_empty() {
-            return Vec::new();
+            return;
         }
         let q_ranks = compute_ranks(&self.space, &self.pivots, query.point_ref());
         let gamma = self.candidate_budget().max(k).min(self.data.len());
         let candidates = self.tree.search(&q_ranks, gamma);
-        refine(
+        let SearchScratch {
+            ids,
+            dists,
+            heap,
+            trace,
+            budget,
+            ..
+        } = scratch;
+        refine_into(
             &self.data,
             &self.space,
             query.point_ref(),
             candidates.into_iter().map(|n| n.id),
             k,
-        )
+            ids,
+            dists,
+            heap,
+            out,
+            trace,
+            budget,
+        );
     }
 
     fn len(&self) -> usize {

@@ -257,16 +257,9 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: per-tree prefix induction, tree walk and candidate
     /// collection all run through reused buffers, and the deduplicated
-    /// candidate union is refined in batched blocks. Identical results to
-    /// the allocating path.
+    /// candidate union is refined in batched blocks.
     fn search_into(
         &self,
         query: &P,

@@ -27,8 +27,8 @@
 //! its own in-process copy of the engine to assert bit-exact result parity
 //! across the wire.
 //!
-//! Results land in `bench_results/BENCH_serve_tcp.json` plus one dated
-//! line appended to `bench_results/trajectory.jsonl`.
+//! Results land in `--out` (default `bench_results/BENCH_serve_tcp.json`),
+//! the only file loadgen writes.
 
 use std::fs;
 use std::path::PathBuf;
@@ -447,7 +447,7 @@ fn point_to_json(p: &LoadPoint) -> String {
 }
 
 /// Days since 1970-01-01 to a civil (y, m, d) date (Gregorian; Howard
-/// Hinnant's `civil_from_days`). Enough calendar for a trajectory stamp.
+/// Hinnant's `civil_from_days`). Enough calendar for the results' date stamp.
 fn civil_from_days(days: i64) -> (i64, u32, u32) {
     let z = days + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -495,27 +495,4 @@ fn write_results(args: &Args, method: &str, points: u64, shards: u32, sweep: &[L
         exit(1);
     }
     println!("wrote {} ({} sweep points)", args.out, sweep.len());
-
-    let line = format!(
-        "{{\"date\": \"{date}\", \"unix\": {unix}, \"smoke\": {}, \"serve_tcp\": [{}]}}\n",
-        args.smoke,
-        sweep
-            .iter()
-            .map(point_to_json)
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let traj = "bench_results/trajectory.jsonl";
-    let append = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(traj)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match append {
-        Ok(()) => println!("appended {traj}"),
-        Err(e) => {
-            eprintln!("cannot append {traj}: {e}");
-            exit(1);
-        }
-    }
 }

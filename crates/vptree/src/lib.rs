@@ -397,15 +397,8 @@ where
     P: Point + Send + Sync,
     S: Space<P::Ref>,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the result heap is reused and leaf buckets are
-    /// scored in batched blocks; traversal order, pruning decisions and
-    /// results are identical to the allocating path.
+    /// scored in batched blocks.
     fn search_into(
         &self,
         query: &P,

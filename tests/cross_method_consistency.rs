@@ -10,7 +10,8 @@ use permsearch::knngraph::{nndescent, NnDescentParams, SwGraph, SwGraphParams};
 use permsearch::lsh::{MpLsh, MpLshParams};
 use permsearch::permutation::{
     select_pivots, BruteForceBinFilter, BruteForcePermFilter, MiFile, MiFileParams, Napp,
-    NappParams, OmedRank, OmedRankParams, PermDistanceKind, PpIndex, PpIndexParams,
+    NappParams, OmedRank, OmedRankParams, PermDistanceKind, PermVpTree, PermVpTreeParams, PpIndex,
+    PpIndexParams,
 };
 use permsearch::spaces::L2;
 use permsearch::vptree::{VpTree, VpTreeParams};
@@ -149,17 +150,17 @@ fn exact_methods_agree_with_brute_force() {
     }
 }
 
-/// The zero-allocation pipeline contract: `search_into` with one scratch
-/// reused across every query *and every method* must return exactly what
-/// the allocating `search` returns — ids, distances, and distance-tie
-/// order included.
+/// The scratch reuse contract: `search_into` with one scratch reused
+/// across every query *and every method* must return exactly what a fresh
+/// scratch returns (the provided `search`) — ids, distances, and
+/// distance-tie order included.
 #[test]
 fn scratch_pipeline_matches_fresh_search_across_methods() {
     use permsearch::core::SearchScratch;
     let (data, queries) = world();
     let pivots = select_pivots(&data, 64, 1);
 
-    let indexes: Vec<Box<dyn SearchIndex<Vec<f32>>>> = vec![
+    let mut indexes: Vec<Box<dyn SearchIndex<Vec<f32>>>> = vec![
         Box::new(ExhaustiveSearch::new(data.clone(), L2)),
         Box::new(VpTree::build(data.clone(), L2, VpTreeParams::default(), 1)),
         Box::new(Napp::build(
@@ -235,6 +236,7 @@ fn scratch_pipeline_matches_fresh_search_across_methods() {
             1,
         )),
     ];
+    indexes.extend(rank_aggregation_methods(&data));
 
     // ONE scratch across all methods and queries, never reset in between —
     // the strongest form of the reuse contract. Varying k stresses heap
@@ -261,6 +263,70 @@ fn scratch_pipeline_matches_fresh_search_across_methods() {
         assert_eq!(out, fresh, "sharded k={k} query {qi}");
     }
 }
+
+/// OMEDRANK and the permutation VP-tree, at the parameters the answer
+/// fingerprints below were recorded with.
+fn rank_aggregation_methods(data: &Arc<Dataset<Vec<f32>>>) -> Vec<Box<dyn SearchIndex<Vec<f32>>>> {
+    vec![
+        Box::new(OmedRank::build(
+            data.clone(),
+            L2,
+            OmedRankParams {
+                num_pivots: 12,
+                gamma: 0.1,
+                quorum: 0.5,
+                threads: 2,
+            },
+            1,
+        )),
+        Box::new(PermVpTree::build(
+            data.clone(),
+            L2,
+            select_pivots(data, 32, 1),
+            PermVpTreeParams {
+                gamma: 0.05,
+                ..Default::default()
+            },
+            1,
+        )),
+    ]
+}
+
+/// FNV-1a over the ids and distance bits of every k = 10 answer to the
+/// `world()` queries, in order.
+fn answer_fingerprint(idx: &dyn SearchIndex<Vec<f32>>, queries: &[Vec<f32>]) -> u64 {
+    let mut bytes = Vec::new();
+    for q in queries {
+        for n in idx.search(q, 10) {
+            bytes.extend(n.id.to_le_bytes());
+            bytes.extend(n.dist.to_bits().to_le_bytes());
+        }
+    }
+    permsearch::store::fnv1a64(&bytes)
+}
+
+/// OMEDRANK and the permutation VP-tree answer exactly what they answered
+/// before their queries moved onto the scratch pipeline: ids, distance
+/// bits and order.
+#[test]
+fn rank_aggregation_answers_are_pinned() {
+    let (data, queries) = world();
+    let got: Vec<(&str, u64)> = rank_aggregation_methods(&data)
+        .iter()
+        .map(|idx| (idx.name(), answer_fingerprint(idx.as_ref(), &queries)))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("omedrank", OMEDRANK_FINGERPRINT),
+            ("perm-vptree", PERM_VPTREE_FINGERPRINT)
+        ],
+        "answers changed"
+    );
+}
+
+const OMEDRANK_FINGERPRINT: u64 = 910095933510285510;
+const PERM_VPTREE_FINGERPRINT: u64 = 12671504703471097402;
 
 /// Golden recall@10 conformance on 10k-point dense / sparse / topic
 /// worlds: fixed seeds make these runs fully deterministic, so a kernel or
